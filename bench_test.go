@@ -164,6 +164,7 @@ func BenchmarkParallelLaunch(b *testing.B) {
 	}{
 		{"sgemm_naive", 192},
 		{"jacobi_naive", 512},
+		{"mixbench_sp_naive", 8}, // MSHR-bound: L1-miss admission dominates
 	} {
 		b.Run(wl.name, func(b *testing.B) {
 			w, err := gpuscout.BuildWorkload(wl.name, wl.scale)

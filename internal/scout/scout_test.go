@@ -1,6 +1,8 @@
 package scout
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -280,6 +282,32 @@ func TestDetectorsSilentOnCleanKernel(t *testing.T) {
 	for _, never := range []string{"register_spilling", "shared_atomics", "datatype_conversion"} {
 		if len(m[never]) != 0 {
 			t.Errorf("%s fired on a kernel without that pattern", never)
+		}
+	}
+}
+
+// TestCorrelateDeterministic guards the stall correlation against map
+// iteration order: the relevant-stall share sums per-line floats, so an
+// unordered sum made spill_pressure's est_speedup differ in the last bits
+// from run to run. Every repeated analysis must be bit-identical.
+func TestCorrelateDeterministic(t *testing.T) {
+	type payoff struct{ share, speedup uint64 }
+	var want []payoff
+	for run := 0; run < 20; run++ {
+		rep := analyzeWorkload(t, "spill_pressure", 0, Options{Sim: sim.Config{SampleSMs: 2}})
+		var got []payoff
+		for _, f := range rep.Findings {
+			got = append(got, payoff{math.Float64bits(f.RelevantStallShare), math.Float64bits(f.EstSpeedup)})
+		}
+		if run == 0 {
+			if len(got) == 0 {
+				t.Fatal("spill_pressure produced no findings")
+			}
+			want = got
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: (share, est_speedup) bits %x, first run %x", run, got, want)
 		}
 	}
 }

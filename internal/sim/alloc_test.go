@@ -1,26 +1,30 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"gpuscout/internal/gpu"
 )
 
 // TestQueueRingZeroAlloc locks in the allocation-free behavior of the
-// queueRing hot path: once the scratch selection buffer has grown to the
-// queue's size, admit and inflight must not touch the heap again. This
-// guards the fix for the old admit, which copied the queue into a fresh
-// slice and insertion-sorted it on every MSHR-full event.
+// queueRing hot path: once the backing slice has grown to the queue's
+// peak pending count, push, admit and inflight must not touch the heap
+// again, however often the ring drains and refills.
 func TestQueueRingZeroAlloc(t *testing.T) {
 	q := &queueRing{}
 	fill := func() {
-		q.times = q.times[:0]
-		for i := 0; i < 64; i++ {
+		// Drain everything pending, then refill in reverse order so every
+		// push after the first inserts ahead of the tail.
+		if got := q.inflight(math.Inf(1)); got != 0 {
+			t.Fatalf("inflight(+Inf) = %d, want 0", got)
+		}
+		for i := 63; i >= 0; i-- {
 			q.push(float64(100 + i))
 		}
 	}
 
-	// Warm-up: grow times and scratch to steady-state capacity.
+	// Warm-up: grow the backing slice to steady-state capacity.
 	fill()
 	q.admit(0, 32)
 
@@ -36,7 +40,7 @@ func TestQueueRingZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm admit/inflight allocated %v times per run, want 0", allocs)
+		t.Errorf("warm push/admit/inflight allocated %v times per run, want 0", allocs)
 	}
 }
 

@@ -2,107 +2,66 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"gpuscout/internal/memsys"
 	"gpuscout/internal/sass"
 )
 
 // queueRing tracks completion times of in-flight operations in an issue
-// queue (LG / MIO / TEX). Entries whose completion is in the past no
-// longer occupy a slot.
+// queue (LG / MIO / TEX) or an MSHR file. Entries whose completion is in
+// the past no longer occupy a slot. times[head:] holds the pending
+// entries sorted ascending, so every query reads from the head and admit
+// is O(1) amortized; completions arrive nearly in order, so push almost
+// always appends.
 type queueRing struct {
 	times []float64
-	// scratch is the reusable selection buffer of admit; it never holds
-	// state between calls.
-	scratch []float64
+	head  int
 }
 
-func (q *queueRing) push(t float64) { q.times = append(q.times, t) }
-
-// inflight counts entries still pending at time now, compacting as a side
-// effect.
-func (q *queueRing) inflight(now float64) int {
-	n := 0
-	for _, t := range q.times {
-		if t > now {
-			q.times[n] = t
-			n++
-		}
+func (q *queueRing) push(t float64) {
+	q.times = append(q.times, t)
+	if last := len(q.times) - 2; last >= q.head && q.times[last] > t {
+		i, _ := slices.BinarySearch(q.times[q.head:last+1], t)
+		i += q.head
+		copy(q.times[i+1:], q.times[i:last+1])
+		q.times[i] = t
 	}
-	q.times = q.times[:n]
-	return n
+}
+
+// inflight counts entries still pending at time now, dropping the
+// completed ones from the head. The slice is compacted once the head
+// passes its midpoint, so memory stays proportional to the peak pending
+// count.
+func (q *queueRing) inflight(now float64) int {
+	for q.head < len(q.times) && q.times[q.head] <= now {
+		q.head++
+	}
+	if q.head > len(q.times)/2 {
+		n := copy(q.times, q.times[q.head:])
+		q.times, q.head = q.times[:n], 0
+	}
+	return len(q.times) - q.head
 }
 
 // earliest returns the soonest completion among pending entries.
 func (q *queueRing) earliest() float64 {
-	e := math.Inf(1)
-	for _, t := range q.times {
-		if t < e {
-			e = t
-		}
+	if q.head == len(q.times) {
+		return math.Inf(1)
 	}
-	return e
+	return q.times[q.head]
 }
 
 // admit returns the earliest time >= now at which a new entry fits under
-// the given capacity: when full, a request waits for the k-th soonest
-// completion. Models MSHR admission. The order statistic is found by
-// quickselect over a reusable scratch buffer — O(n) expected and
-// allocation-free once warm, where the old copy + insertion sort was
-// O(n²) with a fresh slice on every MSHR-full event.
+// the given capacity: when full, a request waits for the
+// (n-capacity+1)-th soonest of the n pending completions. Models MSHR
+// admission.
 func (q *queueRing) admit(now float64, capacity int) float64 {
 	n := q.inflight(now)
 	if n < capacity {
 		return now
 	}
-	// Need (n - capacity + 1) completions; find that order statistic.
-	need := n - capacity + 1
-	q.scratch = append(q.scratch[:0], q.times...)
-	return kthSmallest(q.scratch, need-1)
-}
-
-// kthSmallest returns the k-th smallest value (0-based) of a, partially
-// reordering it in place. Hoare-partition quickselect with
-// median-of-three pivoting; the k-th order statistic is unique, so the
-// result does not depend on pivot choices or tie ordering.
-func kthSmallest(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi] < a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		pivot := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < pivot {
-				i++
-			}
-			for a[j] > pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return a[k]
-		}
-	}
-	return a[lo]
+	return q.times[q.head+n-capacity]
 }
 
 // smState is the timing state of one simulated streaming multiprocessor.
